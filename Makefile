@@ -11,7 +11,8 @@ WL ?= bfs-twitter
 VARIANT ?= sdc_lp
 
 .PHONY: test check check-faults check-shards check-service check-dse \
-	check-ingest bench bench-engine profile-engine timeline docs-check
+	check-ingest check-kernel-sanitize bench bench-engine profile-engine \
+	timeline docs-check
 
 # Shard counts exercised by check-shards.
 SHARD_COUNTS ?= 2 4
@@ -94,6 +95,9 @@ check-dse:            ## SIGINT a DSE study mid-search; resume must be byte-iden
 
 check-ingest:         ## ingest a real edge list; mapped CSR must match in-memory
 	$(PY) tools/ingest_smoke.py
+
+check-kernel-sanitize: ## ref-vs-batch tests on an ASan+UBSan batch kernel
+	$(PY) tools/kernel_sanitize.py
 
 bench:                ## full paper-reproduction benchmark run
 	$(PY) -m pytest benchmarks/ --benchmark-only

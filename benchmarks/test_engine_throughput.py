@@ -27,7 +27,7 @@ from repro.trace.kernels import trace_pagerank
 #: 50k-access window — large enough to exercise every hierarchy level,
 #: small enough to time in seconds.
 BENCH_SPEC = dict(scale=12, degree=8, seed=1, accesses=50_000)
-VARIANTS = ("baseline", "sdc_lp")
+VARIANTS = ("baseline", "sdc_lp", "sdc_clp", "sdc_lp_tagless")
 REPEATS = 3
 
 _OUT = Path(__file__).resolve().parents[1] / "BENCH_engine.json"

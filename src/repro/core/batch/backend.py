@@ -8,17 +8,21 @@ Python loop would have produced — including post-run cache/predictor/
 TLB/DRAM state written back into the live Python objects — or returns
 ``None``, in which case the caller falls back to the reference path.
 
-Fallback rules (any one triggers ``None``):
+Every single-core variant has a kernel path (:data:`_KERNEL_PATHS`),
+including the CLP-routed ``sdc_clp`` and the tag-less LP of
+``sdc_lp_tagless``.  Fallback rules (any one triggers ``None``; the
+reason is :func:`unsupported_reason`):
 
 * the kernel could not be compiled/loaded (no C compiler, load error);
+* the variant has no kernel path (a future variant not yet ported);
 * invariant checking is armed (``check_every != 0`` — the per-access
   hooks need the Python loop);
 * a structure uses a policy/prefetcher outside the supported set
   (inlined LRU, T-OPT Belady, distill LOC+WOC; next-line and SPP
   prefetchers) — notably the generic-LRU differential twin
   (``_lru is None``) falls back, keeping that twin meaningful;
-* the system is not fresh (non-empty caches or non-zero counters):
-  the kernel starts all stamp clocks from zero.
+* the system is not fresh (non-empty caches, predictor tables or
+  non-zero counters): the kernel starts all stamp clocks from zero.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numpy as np
 
 from repro.config import BLOCK_BITS
 from repro.core.batch.build import load_kernel
+from repro.core.clp import CLPEntry
 from repro.core.lp import LPEntry, LPStats
 from repro.core.sdcdir import SDCDirStats
 from repro.mem.cache import CacheStats, SetAssocCache
@@ -52,6 +57,16 @@ def _zeros(n, dtype=_I64):
 
 def _full(n, value, dtype=_I64):
     return np.full(max(int(n), 1), value, dtype=dtype)
+
+
+def _column(values, dtype):
+    """A trace column as a C-contiguous, aligned array for the kernel.
+
+    The record dtype is packed, so a field view is misaligned; numpy
+    counts a one-record view as contiguous and would hand it over
+    uncopied (a misaligned int64 load is undefined behaviour in C).
+    """
+    return np.require(values, dtype=dtype, requirements=("C", "A"))
 
 
 class _CacheSoA:
@@ -108,20 +123,25 @@ def _plain_lru_ok(cache: SetAssocCache) -> bool:
             and cache._policy_miss is None)
 
 
-_KERNEL_VARIANTS = frozenset({
-    "baseline", "sdc_lp", "topt", "distill", "l1iso", "llc2x",
-    "expert", "victim", "lp_bypass",
-})
+#: Kernel access path per variant: 0 = plain hierarchy, 1 = SDC with
+#: LP/CLP/expert routing, 2 = L1D victim cache, 3 = LP bypass.  The
+#: kernel would run an unknown path code as the plain hierarchy, so a
+#: variant missing here is refused, not mis-run.
+_KERNEL_PATHS = {
+    "baseline": 0, "topt": 0, "distill": 0, "l1iso": 0, "llc2x": 0,
+    "sdc_lp": 1, "sdc_lp_tagless": 1, "sdc_clp": 1, "expert": 1,
+    "victim": 2, "lp_bypass": 3,
+}
+
+#: Predictor kinds of the kernel's PC table (kernel.c ``PRED_*``).
+_PRED_LP, _PRED_CLP = 0, 1
 
 
 def unsupported_reason(system, trace) -> str | None:
     """Why this run cannot take the batch kernel (None = it can)."""
     if load_kernel() is None:
         return "kernel unavailable"
-    # Explicit allowlist: the kernel dispatches unknown variants to the
-    # baseline path, so anything it was not written for (sdc_clp,
-    # sdc_lp_tagless, future variants) must be refused, not mis-run.
-    if system.variant not in _KERNEL_VARIANTS:
+    if system.variant not in _KERNEL_PATHS:
         return f"variant {system.variant!r} not implemented by the kernel"
     if system._check_every:
         return "invariant checking armed"
@@ -175,14 +195,10 @@ def unsupported_reason(system, trace) -> str | None:
     if h.dram.stats != DRAMStats() or any(r != -1 for r in h.dram.open_rows):
         return "dram not fresh"
 
-    lp = system.lp
-    if lp is not None and lp.config.tagless:
-        # A tagless LPConfig can be hand-attached to any LP-bearing
-        # variant; the kernel only models the tagged lookup.
-        return "tagless lp unsupported by the kernel"
-    if lp is not None and (lp._clock or lp.stats != LPStats()
-                           or any(lp.sets)):
-        return "lp not fresh"
+    for name, pred in (("lp", system.lp), ("clp", system.clp)):
+        if pred is not None and (pred._clock or pred.stats != LPStats()
+                                 or any(pred.sets)):
+            return f"{name} not fresh"
     d = system.sdcdir
     if d is not None and (d._clock or d.stats != SDCDirStats()
                           or any(d.sets)):
@@ -237,14 +253,13 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
     acc = trace.accesses
     n = len(acc)
 
-    blocks = np.ascontiguousarray(acc["addr"] >> BLOCK_BITS, dtype=_I64)
-    pcs = np.ascontiguousarray(acc["pc"], dtype=_I64)
-    writes = np.ascontiguousarray(acc["write"], dtype=_U8)
-    gaps = np.ascontiguousarray(acc["gap"], dtype=_I64)
-    deps = np.ascontiguousarray(acc["dep"], dtype=_I64)
+    blocks = _column(acc["addr"] >> BLOCK_BITS, _I64)
+    pcs = _column(acc["pc"], _I64)
+    writes = _column(acc["write"], _U8)
+    gaps = _column(acc["gap"], _I64)
+    deps = _column(acc["dep"], _I64)
     tlb_on = system.tlb is not None
-    pages = np.ascontiguousarray(acc["addr"] >> 12, dtype=_I64) \
-        if tlb_on else _zeros(1)
+    pages = _column(acc["addr"] >> 12, _I64) if tlb_on else _zeros(1)
 
     aux_mode, aux_next, aux_irr, aux_word = _aux_arrays(
         system, trace, blocks)
@@ -264,8 +279,7 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
         llc_kind = 0
     else:
         llc_kind = 1
-    path = {"sdc_lp": 1, "expert": 1, "victim": 2, "lp_bypass": 3}.get(
-        system.variant, 0)
+    path = _KERNEL_PATHS[system.variant]
 
     c_l1 = _CacheSoA(h.l1d)
     c_l2 = _CacheSoA(h.l2c)
@@ -287,9 +301,13 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
     dram_rows = _full(dram._banks, -1)
     dram_stats = _zeros(5)
 
-    lp = system.lp
-    lp_sets = lp.num_sets if lp is not None else 1
-    lp_ways = lp.ways if lp is not None else 1
+    # The LP and the CLP share the kernel's PC-table buffers (the CLP
+    # keeps its level counter in the s_acc slot); a variant has at
+    # most one of them.
+    lp, clp = system.lp, system.clp
+    pred = lp if lp is not None else clp
+    lp_sets = pred.num_sets if pred is not None else 1
+    lp_ways = pred.ways if pred is not None else 1
     lp_n = lp_sets * lp_ways
     lp_tag = _full(lp_n, -1)
     lp_addr = _zeros(lp_n)
@@ -345,7 +363,7 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
     core = config.core
     icfg_vals = [0] * ICFG_LEN
     icfg_vals[0:16] = [
-        n, path, llc_kind, 1 if lp is not None else 0, 1 if expert else 0,
+        n, path, llc_kind, 1 if pred is not None else 0, 1 if expert else 0,
         min(warmup, n), 1 if warmup else 0, flush_sdc_every or 0,
         tele_every, 1 if record_levels else 0, 1 if tlb_on else 0,
         1 if h.l1_prefetcher is not None else 0, 1 if l2_spp else 0,
@@ -364,13 +382,14 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
         sdcdir._set_mask if sdcdir is not None else 0,
         sdcdir.latency if sdcdir is not None else 0,
     ]
-    icfg_vals[47:53] = [
-        lp_sets, lp_ways,
-        lp._set_bits if lp is not None else 0,
-        lp._set_mask if lp is not None else 0,
-        lp.tau if lp is not None else 0,
-        lp._s_acc_max if lp is not None else 0,
-    ]
+    if lp is not None:
+        # The tag-less LP's shift (200) is clamped to 63 in C.
+        pred_geom = [lp._tag_shift, lp._set_mask, lp.tau, lp._s_acc_max]
+    elif clp is not None:
+        pred_geom = [clp._set_bits, clp._set_mask, clp.tau, clp._ctr_max]
+    else:
+        pred_geom = [0, 0, 0, 0]
+    icfg_vals[47:53] = [lp_sets, lp_ways, *pred_geom]
     icfg_vals[53:58] = [dram._banks, dram._row_bits, dram._lat_hit,
                         dram._lat_miss, dram._lat_conflict]
     icfg_vals[58:61] = [t1_sets, t1_ways,
@@ -386,6 +405,7 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
     icfg_vals[70] = config.l1d.latency
     icfg_vals[71] = tele_capacity
     icfg_vals[72] = llc.latency
+    icfg_vals[73] = _PRED_CLP if clp is not None else _PRED_LP
 
     usage = _zeros(c_l3.sets * c_l3.ways, _U8)
     buffers = (
@@ -449,19 +469,25 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
     dram.stats = DRAMStats(*(int(v) for v in dram_stats))
     dram.open_rows = [int(v) for v in dram_rows]
 
-    if lp is not None:
-        lp.stats = LPStats(*(int(v) for v in lp_stats))
-        lp._clock = int(misc[10])
+    if pred is not None:
+        pred.stats = LPStats(*(int(v) for v in lp_stats))
+        pred._clock = int(misc[10])
         for si in range(lp_sets):
             base = si * lp_ways
             slots = sorted(
                 (w for w in range(lp_ways) if lp_tag[base + w] >= 0),
                 key=lambda w: lp_ord[base + w])
-            lp.sets[si] = {
-                int(lp_tag[base + w]): LPEntry(
-                    int(lp_addr[base + w]), int(lp_sacc[base + w]),
-                    int(lp_stamp[base + w]))
-                for w in slots}
+            if lp is not None:
+                pred.sets[si] = {
+                    int(lp_tag[base + w]): LPEntry(
+                        int(lp_addr[base + w]), int(lp_sacc[base + w]),
+                        int(lp_stamp[base + w]))
+                    for w in slots}
+            else:
+                pred.sets[si] = {
+                    int(lp_tag[base + w]): CLPEntry(
+                        int(lp_sacc[base + w]), int(lp_stamp[base + w]))
+                    for w in slots}
     if sdcdir is not None:
         st = sdcdir.stats
         st.lookups, st.hits, st.inserts, st.evictions = (
@@ -527,7 +553,7 @@ def try_run_batch(system, trace, record_levels=False, warmup=0,
         llc=h.llc.stats,
         sdc=system.sdc.stats if system.sdc else None,
         dram=dram.stats,
-        lp=lp.stats if lp else None,
+        lp=pred.stats if pred is not None else None,
         levels=levels if record_levels else None,
         tlb=tlb.stats if tlb else None,
         timeline=timeline)

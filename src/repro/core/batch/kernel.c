@@ -21,7 +21,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define ABI_VERSION 1
+#define ABI_VERSION 2
 
 /* CacheStats slots (field order of repro.mem.cache.CacheStats). */
 enum { ACC = 0, HIT, MISS, PFF, PFH, WB, EV, FILL, INV };
@@ -44,7 +44,7 @@ static Cache L1, L2, L3, SD, VC;
 static const int64_t *g_icfg;
 static void **g_bufs;
 
-static int64_t g_path, g_llc_kind, g_has_lp, g_use_expert;
+static int64_t g_path, g_llc_kind, g_has_pred, g_use_expert;
 static int64_t g_l1_next_line, g_l2_spp, g_sdc_pf, g_aux_mode;
 static int64_t g_sdc_miss_dir_lat, g_llc_lat, g_dir_lat;
 
@@ -58,11 +58,14 @@ static int64_t g_belady_clock;
 static int64_t *g_rows, *g_dram;
 static int64_t g_banks, g_row_bits, g_lat_hit, g_lat_miss, g_lat_conf;
 
-/* lp */
+/* PC predictor table: the LP, or the CLP (g_pred_kind == PRED_CLP)
+ * with its level counter in the s_acc slot and no address field. */
+enum { PRED_LP = 0, PRED_CLP };
 static int64_t *g_lp_tag, *g_lp_addr, *g_lp_sacc, *g_lp_stamp, *g_lp_ord;
 static int64_t *g_lp_occ, *g_lp_stats;
-static int64_t g_lp_sets, g_lp_ways, g_lp_set_bits, g_lp_set_mask;
+static int64_t g_lp_sets, g_lp_ways, g_lp_tag_shift, g_lp_set_mask;
 static int64_t g_lp_tau, g_lp_smax, g_lp_clock, g_lp_ordc;
+static int64_t g_pred_kind, g_clp_slot;
 
 /* sdcdir */
 static int64_t *g_db, *g_dsh, *g_ddc, *g_dst, *g_docc, *g_dirstats;
@@ -620,14 +623,20 @@ static void l2_prefetch_step(int64_t block, int filter_sdc) {
 }
 
 /* ---------------------------------------------------------------- */
-/* Large Predictor (repro.core.lp.LargePredictor)                    */
+/* PC predictors (repro.core.lp.LargePredictor,                      */
+/* repro.core.clp.CacheLevelPredictor)                               */
 /* ---------------------------------------------------------------- */
 
-static int lp_predict(int64_t pc, int64_t block) {
+/* The table walk both predictors share: count the lookup, tick the
+ * clock, and return the PC's slot with its stamp refreshed.  A miss
+ * (re)initializes the LRU victim with a zero counter; *hit tells the
+ * two apart.  The tag-less LP passes a tag shift of 63, so every PC
+ * in a set shares tag 0 (PCs are non-negative). */
+static int64_t pred_lookup(int64_t pc, int *hit) {
     g_lp_stats[0]++;                                    /* lookups */
     int64_t idx = pc >> 2;
     int64_t si = idx & g_lp_set_mask;
-    int64_t tag = idx >> g_lp_set_bits;
+    int64_t tag = idx >> g_lp_tag_shift;
     int64_t base = si * g_lp_ways, w, slot = -1;
     g_lp_clock++;
     for (w = 0; w < g_lp_ways; w++) {
@@ -636,9 +645,54 @@ static int lp_predict(int64_t pc, int64_t block) {
             break;
         }
     }
-    int irregular;
     if (slot >= 0) {
         g_lp_stats[1]++;                                /* table_hits */
+        g_lp_stamp[slot] = g_lp_clock;
+        *hit = 1;
+        return slot;
+    }
+    g_lp_stats[2]++;                                    /* table_misses */
+    if (g_lp_occ[si] >= g_lp_ways) {
+        int64_t best = base, bs = g_lp_stamp[base];
+        for (w = 1; w < g_lp_ways; w++) {
+            if (g_lp_tag[base + w] >= 0 &&
+                    g_lp_stamp[base + w] < bs) {
+                bs = g_lp_stamp[base + w];
+                best = base + w;
+            }
+        }
+        slot = best;
+    } else {
+        for (w = 0; w < g_lp_ways; w++) {
+            if (g_lp_tag[base + w] < 0) {
+                slot = base + w;
+                break;
+            }
+        }
+        g_lp_occ[si]++;
+    }
+    g_lp_tag[slot] = tag;
+    g_lp_sacc[slot] = 0;
+    g_lp_stamp[slot] = g_lp_clock;
+    g_lp_ord[slot] = ++g_lp_ordc;
+    *hit = 0;
+    return slot;
+}
+
+static int pred_count(int irregular) {
+    if (irregular)
+        g_lp_stats[3]++;                                /* irregular */
+    else
+        g_lp_stats[4]++;                                /* regular */
+    return irregular;
+}
+
+/* LP consult + stride update (Fig. 4/5). */
+static int lp_predict(int64_t pc, int64_t block) {
+    int hit;
+    int64_t slot = pred_lookup(pc, &hit);
+    int irregular = 0;
+    if (hit) {
         int64_t s_acc = g_lp_sacc[slot];
         irregular = s_acc >= g_lp_tau;
         int64_t stride = block - g_lp_addr[slot];
@@ -646,41 +700,25 @@ static int lp_predict(int64_t pc, int64_t block) {
             stride = -stride;
         s_acc = (s_acc + stride) >> 1;
         g_lp_sacc[slot] = s_acc <= g_lp_smax ? s_acc : g_lp_smax;
-        g_lp_addr[slot] = block;
-        g_lp_stamp[slot] = g_lp_clock;
-    } else {
-        g_lp_stats[2]++;                                /* table_misses */
-        irregular = 0;
-        if (g_lp_occ[si] >= g_lp_ways) {
-            int64_t best = base, bs = g_lp_stamp[base];
-            for (w = 1; w < g_lp_ways; w++) {
-                if (g_lp_tag[base + w] >= 0 &&
-                        g_lp_stamp[base + w] < bs) {
-                    bs = g_lp_stamp[base + w];
-                    best = base + w;
-                }
-            }
-            slot = best;
-        } else {
-            for (w = 0; w < g_lp_ways; w++) {
-                if (g_lp_tag[base + w] < 0) {
-                    slot = base + w;
-                    break;
-                }
-            }
-            g_lp_occ[si]++;
-        }
-        g_lp_tag[slot] = tag;
-        g_lp_addr[slot] = block;
-        g_lp_sacc[slot] = 0;
-        g_lp_stamp[slot] = g_lp_clock;
-        g_lp_ord[slot] = ++g_lp_ordc;
     }
-    if (irregular)
-        g_lp_stats[3]++;                                /* irregular */
-    else
-        g_lp_stats[4]++;                                /* regular */
-    return irregular;
+    g_lp_addr[slot] = block;
+    return pred_count(irregular);
+}
+
+/* CLP consult; clp_update trains the same entry once the access has
+ * been served (nothing touches the table in between). */
+static int clp_predict(int64_t pc) {
+    int hit;
+    g_clp_slot = pred_lookup(pc, &hit);
+    return pred_count(hit && g_lp_sacc[g_clp_slot] >= g_lp_tau);
+}
+
+/* repro.core.clp.LEVEL_WEIGHTS, indexed by serving-level code. */
+static const int64_t CLP_LEVEL_WEIGHTS[5] = { 0, 4, 12, 24, 24 };
+
+static void clp_update(int level) {
+    int64_t ctr = (g_lp_sacc[g_clp_slot] + CLP_LEVEL_WEIGHTS[level]) >> 1;
+    g_lp_sacc[g_clp_slot] = ctr <= g_lp_smax ? ctr : g_lp_smax;
 }
 
 /* ---------------------------------------------------------------- */
@@ -1300,7 +1338,7 @@ static void reset_stats(void) {
     memset(g_dram, 0, 5 * sizeof(int64_t));
     if (g_path == 1)
         memset(SD.stats, 0, 9 * sizeof(int64_t));
-    if (g_has_lp)
+    if (g_has_pred)
         memset(g_lp_stats, 0, 5 * sizeof(int64_t));
     if (g_icfg[10])
         memset(g_tlb_stats, 0, 4 * sizeof(int64_t));
@@ -1319,7 +1357,7 @@ static void flush_sdc_state(void) {
             g_db[k] = -1;
         memset(g_docc, 0, g_dir_sets * sizeof(int64_t));
     }
-    if (g_has_lp) {
+    if (g_has_pred) {
         for (k = 0; k < g_lp_sets * g_lp_ways; k++)
             g_lp_tag[k] = -1;
         memset(g_lp_occ, 0, g_lp_sets * sizeof(int64_t));
@@ -1364,7 +1402,7 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
     const int64_t n = icfg[0];
     g_path = icfg[1];
     g_llc_kind = icfg[2];
-    g_has_lp = icfg[3];
+    g_has_pred = icfg[3];
     g_use_expert = icfg[4];
     const int64_t reset_at = icfg[5];
     const int64_t warmup = icfg[6];
@@ -1391,7 +1429,7 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
     g_dir_lat = icfg[46];
     g_lp_sets = icfg[47];
     g_lp_ways = icfg[48];
-    g_lp_set_bits = icfg[49];
+    g_lp_tag_shift = icfg[49] < 63 ? icfg[49] : 63;
     g_lp_set_mask = icfg[50];
     g_lp_tau = icfg[51];
     g_lp_smax = icfg[52];
@@ -1410,6 +1448,7 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
     g_tlb_walk_lat = icfg[65];
     const int64_t tele_capacity = icfg[71];
     g_llc_lat = icfg[72];
+    g_pred_kind = icfg[73];
 
     g_usage = (uint8_t *)bufs[35];
     g_wb = (int64_t *)bufs[36];
@@ -1518,13 +1557,16 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
         int64_t lat = 0;
         if (g_path == 1) {
             int irregular = g_use_expert ? (g_expert_irr[i] ? 1 : 0)
-                                         : lp_predict(pc, b);
+                          : g_pred_kind == PRED_CLP ? clp_predict(pc)
+                          : lp_predict(pc, b);
             if (irregular) {
                 level = access_via_sdc(b, w, &lat);
                 pool = 1;
             } else {
                 level = access_regular_with_sdc(b, w, i, &lat);
             }
+            if (g_pred_kind == PRED_CLP)
+                clp_update(level);
         } else if (g_path == 2) {
             level = access_victim(b, w, i, &lat);
         } else if (g_path == 3) {
@@ -1556,8 +1598,8 @@ int64_t repro_batch_run(const int64_t *icfg, void **bufs) {
             row[4] = g_llc_kind == 2 ? g_dstats[MISS] : L3.stats[MISS];
             row[5] = g_path == 1 ? SD.stats[ACC] : 0;
             row[6] = g_path == 1 ? SD.stats[HIT] : 0;
-            row[7] = g_has_lp ? g_lp_stats[0] : 0;
-            row[8] = g_has_lp ? g_lp_stats[3] : 0;
+            row[7] = g_has_pred ? g_lp_stats[0] : 0;
+            row[8] = g_has_pred ? g_lp_stats[3] : 0;
             row[9] = g_dram[DREADS];
             row[10] = g_dram[DWRITES];
             tele_rows++;

@@ -35,12 +35,13 @@ the SDC is extracted from the hierarchy and vice versa.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.config import BLOCK_BITS, SystemConfig, tagless_lp_config
-from repro.core.batch import resolve_backend, try_run_batch
+from repro.core.batch import (resolve_backend, try_run_batch,
+                              unsupported_reason)
 from repro.core.clp import CacheLevelPredictor
 from repro.core.lp import LargePredictor, LPStats
 from repro.core.sdcdir import SDCDirectory
@@ -84,6 +85,12 @@ class SystemStats:
     levels: np.ndarray | None = None     # per-access serving level codes
     tlb: TLBStats | None = None
     timeline: Timeline | None = None     # windowed metrics (telemetry)
+    # Engine that produced this result ("ref" / "batch") and, when a
+    # batch request landed on the reference loop, why.  Run metadata,
+    # not simulation output: excluded from equality and from payloads,
+    # so results and cache entries do not depend on the engine.
+    backend: str | None = field(default=None, compare=False)
+    fallback: str | None = field(default=None, compare=False)
 
     @property
     def ipc(self) -> float:
@@ -638,17 +645,23 @@ class SingleCoreSystem:
         compiled structure-of-arrays kernel (:mod:`repro.core.batch`),
         bit-identical by construction.  ``None`` defers to the
         ``REPRO_BACKEND`` environment variable (default ``ref``).  The
-        batch backend silently falls back here whenever the run is
-        outside its supported envelope (no compiler, invariant checking
-        armed, exotic policies, warm state — see
-        ``repro.core.batch.backend.unsupported_reason``).
+        batch backend falls back here whenever the run is outside its
+        supported envelope (no compiler, invariant checking armed,
+        exotic policies, warm state).  The result records the engine
+        taken in ``backend`` and, on a fallback, the reason
+        (``repro.core.batch.backend.unsupported_reason``) in
+        ``fallback``.
         """
+        fallback = None
         if resolve_backend(backend) == "batch":
             stats = try_run_batch(self, trace, record_levels=record_levels,
                                   warmup=warmup,
                                   flush_sdc_every=flush_sdc_every)
             if stats is not None:
+                stats.backend = "batch"
                 return stats
+            fallback = (unsupported_reason(self, trace)
+                        or "kernel run failed")
         acc = trace.accesses
         n = len(acc)
         blocks_np = (acc["addr"] >> BLOCK_BITS).astype(np.int64)
@@ -778,7 +791,8 @@ class SingleCoreSystem:
             lp=lp.stats if lp else (clp.stats if clp is not None else None),
             levels=levels,
             tlb=tlb.stats if tlb else None,
-            timeline=probe.timeline() if probe is not None else None)
+            timeline=probe.timeline() if probe is not None else None,
+            backend="ref", fallback=fallback)
 
     # -- helpers ---------------------------------------------------------------
     def _precompute_aux(self, trace: Trace, blocks: np.ndarray):

@@ -324,8 +324,10 @@ def _resolve_trace(ref) -> Trace:
     return trace
 
 
-def _execute(spec: dict) -> dict:
-    """Run one cell; returns its lossless JSON payload."""
+def _execute(spec: dict) -> tuple[dict, str, str | None]:
+    """Run one cell; returns its lossless JSON payload, the engine it
+    ran on (``"ref"``/``"batch"``) and why a batch request ran on the
+    reference loop (None when it did not)."""
     cfg = spec["config"]
     variant = spec["variant"]
     # The spec's window always wins over REPRO_TELEMETRY (0 disables),
@@ -346,10 +348,12 @@ def _execute(spec: dict) -> dict:
                                  expert_regions=expert_regions,
                                  telemetry_every=tele_every)
         result = system.run(traces, backend=backend)
-        return {"multi": True,
-                "per_core": [s.to_payload() for s in result.per_core],
-                "llc_accesses": result.llc_accesses,
-                "llc_misses": result.llc_misses}
+        return ({"multi": True,
+                 "per_core": [s.to_payload() for s in result.per_core],
+                 "llc_accesses": result.llc_accesses,
+                 "llc_misses": result.llc_misses},
+                "ref", None if backend == "ref"
+                else "multi-core system has no batch path")
     trace = _resolve_trace(spec["trace"])
     if variant == EXPERT_BEST:
         from repro.core.expert import expert_regions_best
@@ -360,7 +364,7 @@ def _execute(spec: dict) -> dict:
         stats = run_variant(trace, variant, cfg,
                             expert_regions=spec["expert_regions"],
                             telemetry_every=tele_every, backend=backend)
-    return stats.to_payload()
+    return stats.to_payload(), stats.backend, stats.fallback
 
 
 def _execute_cell(spec: dict, key: str, attempt: int = 1) -> dict:
@@ -374,20 +378,25 @@ def _execute_cell(spec: dict, key: str, attempt: int = 1) -> dict:
     Emits ``cell_exec_started``/``cell_exec_finished`` to the worker's
     telemetry shard when armed — *started* fires before the fault hook,
     so crash/hang faults show up in trace exports as truncated spans.
+    *finished* carries the engine the cell ran on (``backend``) and
+    the reason a batch request fell back to the reference loop
+    (``fallback``); both are None on a failed attempt.
     """
     tele_events.worker_emit("cell_exec_started", key=key, attempt=attempt)
     t0 = time.perf_counter()
     try:
         faults.inject_execution(key, attempt)
-        payload = _execute(spec)
+        payload, backend, fallback = _execute(spec)
     except BaseException as exc:
         tele_events.worker_emit("cell_exec_finished", key=key,
                                 attempt=attempt,
                                 seconds=time.perf_counter() - t0,
-                                ok=False, error=_errstr(exc))
+                                ok=False, backend=None, fallback=None,
+                                error=_errstr(exc))
         raise
     tele_events.worker_emit("cell_exec_finished", key=key, attempt=attempt,
-                            seconds=time.perf_counter() - t0, ok=True)
+                            seconds=time.perf_counter() - t0, ok=True,
+                            backend=backend, fallback=fallback)
     return payload
 
 

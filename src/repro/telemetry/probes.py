@@ -172,11 +172,18 @@ class WindowProbe:
             dropped=self._instructions.dropped)
 
 
+def _predictor_stats(lp, clp):
+    """Stats of whichever routing predictor (LP or CLP) is present;
+    both count lookups and irregular predictions in ``LPStats``."""
+    pred = lp if lp is not None else clp
+    return pred.stats if pred is not None else None
+
+
 def single_core_snapshot(system, timer) -> _Snapshot:
     """Cumulative counters of a ``SingleCoreSystem`` mid-run."""
     h = system.hierarchy
     sdc = system.sdc.stats if system.sdc is not None else None
-    lp = system.lp.stats if system.lp is not None else None
+    lp = _predictor_stats(system.lp, system.clp)
     return _Snapshot(
         accesses=h.l1d.stats.accesses + (sdc.accesses if sdc else 0),
         instructions=timer.instructions,
@@ -202,7 +209,7 @@ def multicore_snapshot(system, core: int, timer) -> _Snapshot:
     h = system.cores[core]
     sdc = system.sdcs[core].stats if system.sdcs[core] is not None \
         else None
-    lp = system.lps[core].stats if system.lps[core] is not None else None
+    lp = _predictor_stats(system.lps[core], system.clps[core])
     return _Snapshot(
         accesses=h.l1d.stats.accesses + (sdc.accesses if sdc else 0),
         instructions=timer.instructions,

@@ -43,7 +43,10 @@ EVENT_REQUIRED_FIELDS = {
     "cell_dedup": ("key", "label"),
     "cell_quarantined": ("key", "label"),
     "cell_exec_started": ("key", "attempt"),
-    "cell_exec_finished": ("key", "attempt", "seconds", "ok"),
+    # backend: engine the cell ran on ("ref"/"batch", None if it failed
+    # first); fallback: why a batch request ran on "ref" (else None).
+    "cell_exec_finished": ("key", "attempt", "seconds", "ok", "backend",
+                           "fallback"),
     "pool_rebuilt": ("rebuilds",),
     "degraded_serial": ("rebuilds",),
     # -- repro.service lifecycle (docs/SERVICE.md) --

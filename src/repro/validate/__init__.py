@@ -13,8 +13,8 @@ Two halves (see docs/VALIDATION.md):
 * :mod:`repro.validate.differential` — drives the same access stream
   through intentionally-redundant implementations (inlined-LRU fast
   path vs. generic policy, ``access`` vs. ``access_fast``, shift/mask
-  vs. div/mod indexing, 1-core multi-core vs. single-core) and asserts
-  bit-identical final stats.
+  vs. div/mod indexing, 1-core multi-core vs. single-core, reference
+  loop vs. batch kernel) and asserts bit-identical final stats.
 """
 
 from __future__ import annotations

@@ -14,7 +14,9 @@ bit-identical final state and stats:
   the ``_set_mask == -1`` fallback paths;
 * **``MultiCoreSystem(num_cores=1)`` vs. ``SingleCoreSystem``** — the
   coherence-protocol walk with one core must degenerate exactly to the
-  single-core system.
+  single-core system;
+* **reference loop vs. batch kernel** — every single-core variant, full
+  result payload plus the post-run state the kernel writes back.
 
 Used from ``tests/test_validate.py``; any mismatch is a bug in one of
 the twins (the bugfix history lives in CHANGES.md).
@@ -28,9 +30,11 @@ import numpy as np
 
 from repro.config import BLOCK_BITS, SystemConfig
 from repro.core.multicore import MultiCoreSystem
-from repro.core.system import SingleCoreSystem, SystemStats
+from repro.core.system import VARIANTS, SingleCoreSystem, SystemStats
 from repro.mem.cache import SetAssocCache
+from repro.mem.distill import DistillCache
 from repro.mem.hierarchy import MemoryHierarchy
+from repro.mem.prefetch import SPPPrefetcher
 from repro.trace.record import Trace
 
 
@@ -205,14 +209,71 @@ def diff_multicore1_vs_single(trace: Trace,
     return single, multi.per_core[0]
 
 
-#: The six fig. 7 comparison variants the ref-vs-batch twin must cover.
+#: The six fig. 7 comparison variants.
 FIG7_VARIANTS = ("baseline", "l1iso", "distill", "topt", "llc2x",
                  "sdc_lp")
+
+#: The ref-vs-batch twin covers every single-core variant.
+BATCH_VARIANTS = VARIANTS
+
+
+def _sets_state(sets) -> list:
+    return [list(s.items()) for s in sets]
+
+
+def _cache_state(cache: SetAssocCache) -> tuple:
+    return (_sets_state(cache.sets), getattr(cache.policy, "_clock", 0),
+            cache.stats)
+
+
+def system_state(system: SingleCoreSystem) -> dict:
+    """Post-run state of every structure a single-core run mutates.
+
+    Set contents are listed in dict order (recency/install order drives
+    victim choice); predictor entries as their slot values.  This is
+    what a batch run must write back so that a later run continues
+    exactly where a reference run would.
+    """
+    h = system.hierarchy
+    state = {"l1d": _cache_state(h.l1d), "l2c": _cache_state(h.l2c),
+             "dram": (h.dram.stats, list(h.dram.open_rows))}
+    llc = h.llc
+    if isinstance(llc, DistillCache):
+        state["llc"] = (_cache_state(llc.loc), _sets_state(llc.woc),
+                        llc.usage, llc._clock, llc.woc_hits, llc.stats)
+    else:
+        state["llc"] = _cache_state(llc)
+    for name in ("sdc", "victim"):
+        cache = getattr(system, name)
+        if cache is not None:
+            state[name] = _cache_state(cache)
+    for name in ("lp", "clp"):
+        pred = getattr(system, name)
+        if pred is not None:
+            state[name] = (
+                [[(tag, [getattr(e, f) for f in e.__slots__])
+                  for tag, e in s.items()] for s in pred.sets],
+                pred._clock, pred.stats)
+    d = system.sdcdir
+    if d is not None:
+        state["sdcdir"] = (_sets_state(d.sets), d._clock, d.stats)
+    tlb = system.tlb
+    if tlb is not None:
+        state["tlb"] = (_sets_state(tlb.l1.sets), tlb.l1._clock,
+                        _sets_state(tlb.l2.sets), tlb.l2._clock, tlb.stats)
+    spp = h.l2_prefetcher
+    if isinstance(spp, SPPPrefetcher):
+        state["spp"] = (spp.trackers,
+                        {sig: list(hist.items())
+                         for sig, hist in spp.patterns.items()},
+                        spp.totals)
+    return state
 
 
 def diff_ref_vs_batch(trace: Trace, config: SystemConfig | None = None,
                       variant: str = "baseline",
-                      telemetry_every: int = 4096, warmup: int = 0
+                      telemetry_every: int = 4096, warmup: int = 0,
+                      flush_sdc_every: int | None = None
                       ) -> tuple[SystemStats, SystemStats]:
     """Reference Python loop vs. the compiled SoA batch backend.
 
@@ -220,7 +281,9 @@ def diff_ref_vs_batch(trace: Trace, config: SystemConfig | None = None,
     whole single-core state machine in C over structure-of-arrays
     buffers (:mod:`repro.core.batch`), so *every* field of the result —
     counters, float cycles, per-access serving levels and the windowed
-    telemetry payload — must be bit-identical to the reference.
+    telemetry payload — must be bit-identical to the reference, and so
+    must the post-run state written back into the Python objects
+    (:func:`system_state`).
 
     Raises :class:`RuntimeError` when the kernel cannot be loaded on
     this host (no C compiler): callers skip rather than fail, while the
@@ -235,14 +298,15 @@ def diff_ref_vs_batch(trace: Trace, config: SystemConfig | None = None,
     if variant == "expert":
         from repro.core.expert import expert_regions_for
         kwargs["expert_regions"] = expert_regions_for(trace, cfg)
-    ref = SingleCoreSystem(cfg, variant, telemetry_every=telemetry_every,
-                           **kwargs).run(
-        trace, record_levels=True, warmup=warmup, backend="ref")
+    ref_system = SingleCoreSystem(cfg, variant,
+                                  telemetry_every=telemetry_every, **kwargs)
+    ref = ref_system.run(trace, record_levels=True, warmup=warmup,
+                         flush_sdc_every=flush_sdc_every, backend="ref")
     batch_system = SingleCoreSystem(cfg, variant,
                                     telemetry_every=telemetry_every,
                                     **kwargs)
     batch = try_run_batch(batch_system, trace, record_levels=True,
-                          warmup=warmup)
+                          warmup=warmup, flush_sdc_every=flush_sdc_every)
     if batch is None:
         raise DifferentialMismatch(
             f"ref vs batch [{variant}]: batch backend refused the run "
@@ -253,6 +317,12 @@ def diff_ref_vs_batch(trace: Trace, config: SystemConfig | None = None,
     if ta != tb:
         raise DifferentialMismatch(
             f"ref vs batch [{variant}]: telemetry timeline diverged")
+    sa, sb = system_state(ref_system), system_state(batch_system)
+    diverged = sorted(k for k in sa if sa[k] != sb.get(k))
+    if diverged:
+        raise DifferentialMismatch(
+            f"ref vs batch [{variant}]: post-run state diverged in "
+            f"{', '.join(diverged)}")
     return ref, batch
 
 
@@ -262,6 +332,10 @@ def run_differential_suite(trace: Trace,
                                                         "sdc_lp")
                            ) -> dict[str, str]:
     """Run every differential pair; returns {pair-name: "ok"}.
+
+    The ref-vs-batch pair runs for every variant in
+    :data:`BATCH_VARIANTS` (when the kernel loads), the others for
+    ``variants``.
 
     Raises :class:`DifferentialMismatch` on the first divergence.
     """
@@ -277,7 +351,7 @@ def run_differential_suite(trace: Trace,
     results["access-vs-access_fast"] = "ok"
     from repro.core.batch import kernel_available
     if kernel_available():
-        for variant in variants:
+        for variant in BATCH_VARIANTS:
             diff_ref_vs_batch(trace, config, variant)
             results[f"ref-vs-batch[{variant}]"] = "ok"
     return results

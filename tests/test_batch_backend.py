@@ -1,10 +1,11 @@
 """Batch (structure-of-arrays) backend: bit-identity and plumbing.
 
-The contract under test is ISSUE 6's tentpole: every run the batch
-kernel accepts must produce a ``SystemStats`` payload — counters, float
-cycles, per-access levels, telemetry timeline — bit-identical to the
-reference Python loop, and everything it cannot accept must fall back
-to the reference loop silently.
+The contract under test: every run the batch kernel accepts — any of
+the eleven single-core variants — must produce a ``SystemStats``
+payload (counters, float cycles, per-access levels, telemetry
+timeline) and post-run state bit-identical to the reference Python
+loop, and everything it cannot accept must fall back to the reference
+loop, recording the engine taken and why.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from repro.experiments.parallel import Job, RunPolicy, _job_spec, run_grid
 from repro.experiments.runner import default_config
 from repro.trace.layout import AddressSpace
 from repro.trace.record import ACCESS_DTYPE, Trace
-from repro.validate.differential import (FIG7_VARIANTS, diff_ref_vs_batch,
-                                         force_divmod, use_generic_lru)
+from repro.validate.differential import (BATCH_VARIANTS, FIG7_VARIANTS,
+                                         diff_ref_vs_batch, force_divmod,
+                                         use_generic_lru)
 
 needs_kernel = pytest.mark.skipif(not kernel_available(),
                                   reason="no C compiler for the batch "
@@ -56,6 +58,17 @@ ops_strategy = st.lists(
     st.tuples(st.integers(0, 2000), st.booleans(), st.booleans(),
               st.integers(0, 12), st.integers(0, 5)),
     min_size=1, max_size=300)
+
+#: Wider PC range (enough PCs to evict from the LP/CLP tables and to
+#: alias in the tag-less LP) over fewer blocks, so accesses also hit
+#: in the SDC and the caches and the CLP trains on every level.
+wide_pc_ops_strategy = st.lists(
+    st.tuples(st.integers(0, 300), st.booleans(), st.booleans(),
+              st.integers(0, 400), st.integers(0, 5)),
+    min_size=1, max_size=300)
+
+#: Variants routed by a PC predictor other than the tagged LP.
+PREDICTOR_VARIANTS = ("sdc_clp", "sdc_lp_tagless")
 
 
 @pytest.fixture(scope="module")
@@ -100,9 +113,36 @@ class TestBitIdentity:
         ref, batch = diff_ref_vs_batch(trace, cfg, variant)
         assert batch.l1d.accesses > 0
 
-    @pytest.mark.parametrize("variant", ("victim", "lp_bypass", "expert"))
+    @pytest.mark.parametrize("variant", [v for v in BATCH_VARIANTS
+                                         if v not in FIG7_VARIANTS])
     def test_extra_variants(self, trace, cfg, variant):
         diff_ref_vs_batch(trace, cfg, variant)
+
+    @pytest.mark.parametrize("variant", PREDICTOR_VARIANTS)
+    def test_predictor_variants_warmup_flush(self, trace, cfg, variant):
+        # Warm-up reset, context-switch flushes, 64-access telemetry
+        # windows and per-access levels in one run.
+        ref, batch = diff_ref_vs_batch(trace, cfg, variant, warmup=700,
+                                       flush_sdc_every=500,
+                                       telemetry_every=64)
+        assert batch.lp.lookups == len(trace) - 700
+        assert len(batch.timeline) == (len(trace) - 700) // 64
+
+    @pytest.mark.parametrize("variant", PREDICTOR_VARIANTS)
+    def test_predictor_variants_evicting_pcs(self, cfg, variant):
+        # 600 PCs: LRU eviction in the CLP table, aliasing in the
+        # tag-less LP.
+        rng = np.random.default_rng(5)
+        ops = [(int(rng.integers(0, 300)), bool(rng.random() < 0.4),
+                bool(rng.random() < 0.25), int(rng.integers(0, 600)),
+                int(rng.integers(0, 4)))
+               for _ in range(3000)]
+        ref, batch = diff_ref_vs_batch(build_trace(ops, deps=True), cfg,
+                                       variant, telemetry_every=128)
+        assert batch.lp.table_misses > 0 and batch.lp.table_hits > 0
+        # The L1D, DRAM and the SDC all serve, so the CLP trains on
+        # several weights.
+        assert {0, 3, 4} <= set(batch.levels.tolist())
 
     def test_warmup_window(self, trace, cfg):
         diff_ref_vs_batch(trace, cfg, "sdc_lp", warmup=1000)
@@ -141,6 +181,24 @@ class TestBitIdentity:
         got = mixed.run(trace, backend="ref")
         assert want.to_payload() == got.to_payload()
 
+    @pytest.mark.parametrize("variant", PREDICTOR_VARIANTS)
+    def test_back_to_back_predictor_variants(self, trace, cfg, variant):
+        """Batch-then-ref equals ref-then-ref: the CLP table and the
+        tag-less LP table are written back entry for entry."""
+        twice_ref = SingleCoreSystem(cfg, variant)
+        twice_ref.run(trace, backend="ref")
+        want = twice_ref.run(trace, backend="ref")
+        mixed = SingleCoreSystem(cfg, variant)
+        assert mixed.run(trace, backend="batch").backend == "batch"
+        got = mixed.run(trace, backend="ref")
+        assert want.to_payload() == got.to_payload()
+
+    def test_differential_suite_covers_every_variant(self, trace, cfg):
+        from repro.validate.differential import run_differential_suite
+        results = run_differential_suite(trace, cfg)
+        assert {k for k in results if k.startswith("ref-vs-batch")} == {
+            f"ref-vs-batch[{v}]" for v in BATCH_VARIANTS}
+
 
 @needs_kernel
 class TestPropertyEquivalence:
@@ -167,6 +225,70 @@ class TestPropertyEquivalence:
                              telemetry_every=64).run(trace,
                                                      backend="batch")
         assert a.to_payload() == b.to_payload()
+
+    @pytest.mark.parametrize("variant", BATCH_VARIANTS)
+    @given(ops=wide_pc_ops_strategy,
+           warmup=st.integers(0, 120),
+           flush=st.sampled_from([None, 37, 150]))
+    @settings(max_examples=15, deadline=None)
+    def test_random_traces_every_variant(self, variant, ops, warmup,
+                                         flush):
+        # Full payload and post-run state (diff_ref_vs_batch).
+        diff_ref_vs_batch(build_trace(ops, deps=True), scaled_config(64),
+                          variant, telemetry_every=32, warmup=warmup,
+                          flush_sdc_every=flush)
+
+
+@needs_kernel
+class TestEngineRecord:
+    """``run`` records the engine it took and why a batch request fell
+    back, without touching payloads or equality."""
+
+    @pytest.mark.parametrize("backend", ("ref", "batch"))
+    def test_requested_backend_taken(self, trace, cfg, backend):
+        stats = SingleCoreSystem(cfg, "sdc_clp").run(trace, backend=backend)
+        assert (stats.backend, stats.fallback) == (backend, None)
+
+    def test_fallback_reason_recorded(self, trace, cfg):
+        system = SingleCoreSystem(cfg, "baseline", check_every=500)
+        stats = system.run(trace, backend="batch")
+        assert stats.backend == "ref"
+        assert stats.fallback == "invariant checking armed"
+
+    def test_engine_fields_stay_out_of_payload_and_equality(self, trace,
+                                                           cfg):
+        ref = SingleCoreSystem(cfg, "sdc_lp").run(trace, backend="ref")
+        batch = SingleCoreSystem(cfg, "sdc_lp").run(trace, backend="batch")
+        assert ref.backend != batch.backend and ref == batch
+        assert "backend" not in batch.to_payload()
+        assert "fallback" not in batch.to_payload()
+
+    def test_cell_exec_event_carries_engine(self, tmp_path, monkeypatch):
+        from repro import telemetry as tele
+        from repro.telemetry import events as tele_events
+        from repro.telemetry import schema as tele_schema
+        cfg = scaled_config(64)
+        grid = [Job("pr.urand", v, cfg, tier="tiny", length=3000)
+                for v in ("sdc_clp", "sdc_lp_tagless")]
+        tdir = tmp_path / "tele"
+
+        def exec_events(cache_dir):
+            run_grid(grid, cache=rc.ResultsCache(tmp_path / cache_dir),
+                     manifest_dir=tmp_path / "runs", backend="batch",
+                     telemetry=tele.TelemetryConfig(directory=tdir,
+                                                    window=0))
+            path = tele_events.events_path(
+                tdir, tele_events.latest_run_id(tdir))
+            assert tele_schema.validate_events_file(path) == []
+            return [r for r in tele_events.read_events(path)
+                    if r["event"] == "cell_exec_finished"]
+
+        assert [(r["backend"], r["fallback"])
+                for r in exec_events("a")] == [("batch", None)] * 2
+        monkeypatch.setenv("REPRO_VALIDATE", "1000")
+        assert [(r["backend"], r["fallback"])
+                for r in exec_events("b")] == \
+            [("ref", "invariant checking armed")] * 2
 
 
 class TestFallback:
@@ -268,6 +390,18 @@ class TestGridEquivalence:
                        manifest_dir=tmp_path / "runs")
         for a, b in zip(res, ref):
             assert a.to_payload() == b.to_payload()
+
+
+class TestKernelInputs:
+    def test_one_record_columns_are_aligned(self):
+        """A one-record field view of the packed record dtype counts as
+        contiguous but is misaligned; the kernel must get a copy."""
+        from repro.core.batch.backend import _column
+        acc = build_trace([(3, True, False, 1, 2)], deps=True).accesses
+        assert not acc["dep"].flags.aligned
+        col = _column(acc["dep"], np.int64)
+        assert col.flags.aligned and col.flags.c_contiguous
+        assert col.tolist() == acc["dep"].tolist()
 
 
 @needs_kernel

@@ -1,6 +1,6 @@
 """Tests for the cache-level predictor (sdc_clp) and the tag-less LP
 ablation (sdc_lp_tagless): unit behavior, variant wiring, invariants,
-differential twins and batch-backend refusal."""
+differential twins and batch-kernel equivalence."""
 
 import dataclasses
 
@@ -177,24 +177,54 @@ class TestVariantWiring:
         assert all(s.lp is not None for s in res.per_core)
 
     @pytest.mark.parametrize("variant", ["sdc_clp", "sdc_lp_tagless"])
-    def test_batch_backend_refuses(self, variant):
+    def test_batch_backend_runs(self, variant):
+        """Both predictor variants take the batch kernel, bit-identical
+        to the reference loop."""
+        if load_kernel() is None:
+            pytest.skip("no C compiler for the batch kernel")
         from repro.core.batch.backend import unsupported_reason
+        trace = _trace()
         sys_ = SingleCoreSystem(default_config(), variant=variant)
-        reason = unsupported_reason(sys_, _trace(100))
-        assert reason is not None and "kernel" in reason
+        assert unsupported_reason(sys_, trace) is None
+        got = sys_.run(trace, backend="batch")
+        assert (got.backend, got.fallback) == ("batch", None)
+        want = SingleCoreSystem(default_config(), variant=variant).run(
+            trace, backend="ref")
+        assert got.to_payload() == want.to_payload()
 
-    def test_batch_refuses_handbuilt_tagless_sdc_lp(self):
-        # A tagless LPConfig smuggled under plain sdc_lp must also be
-        # refused — the kernel only models the tagged lookup.
-        from repro.core.batch.backend import unsupported_reason
+    def test_batch_runs_handbuilt_tagless_sdc_lp(self):
+        # A tagless LPConfig under plain sdc_lp takes the kernel with
+        # the tag-less lookup (the tag shift, not the variant, picks
+        # it); payload and post-run LP table match the reference.
+        if load_kernel() is None:
+            pytest.skip("no C compiler for the batch kernel")
+        from repro.validate.differential import diff_ref_vs_batch
         cfg = dataclasses.replace(default_config(),
                                   lp=tagless_lp_config(LPConfig()))
-        sys_ = SingleCoreSystem(cfg, variant="sdc_lp")
-        reason = unsupported_reason(sys_, _trace(100))
-        if load_kernel() is None:
-            assert reason == "kernel unavailable"
-        else:
-            assert reason is not None and "tagless" in reason
+        diff_ref_vs_batch(_trace(), cfg, "sdc_lp")
+
+    @pytest.mark.parametrize("backend", ["ref", "batch"])
+    def test_clp_timeline_counts_predictions(self, backend):
+        """The telemetry timeline reads the CLP's counters: one lookup
+        per access, window irregular counts summing to the stats."""
+        window = 64                  # power of two: frac * window exact
+        sys_ = SingleCoreSystem(default_config(), variant="sdc_clp",
+                                telemetry_every=window)
+        stats = sys_.run(_trace(64 * window), backend=backend)
+        tl = stats.timeline
+        assert len(tl) * window == stats.lp.lookups
+        irregular = sum(f * window for f in tl.metric("lp_irregular_frac"))
+        assert irregular == stats.lp.predicted_irregular > 0
+
+    def test_multicore_clp_timeline_counts_predictions(self):
+        window = 64
+        mc = MultiCoreSystem(default_config(num_cores=2), variant="sdc_clp",
+                             telemetry_every=window)
+        res = mc.run([_trace(1280, seed=s) for s in range(2)])
+        for stats in res.per_core:
+            fracs = stats.timeline.metric("lp_irregular_frac")
+            assert sum(f * window for f in fracs) == \
+                stats.lp.predicted_irregular > 0
 
 
 class TestDifferentialTwins:
