@@ -10,7 +10,7 @@ FAULT_SET ?= all
 WL ?= bfs-twitter
 VARIANT ?= sdc_lp
 
-.PHONY: test check check-faults check-shards check-service check-dse \
+.PHONY: test check check-faults check-shards check-dse \
 	check-ingest check-kernel-sanitize bench bench-engine profile-engine \
 	timeline docs-check
 
@@ -86,9 +86,6 @@ check-shards:         ## sharded sweeps must merge bit-identical to single-host
 	  | strip > "$$work/got.txt"; \
 	diff "$$work/clean.txt" "$$work/got.txt"; \
 	echo "check-shards: merged shard output identical to single-host"
-
-check-service:        ## kill+restart the service mid-job, diff vs clean CLI
-	$(PY) tools/service_smoke.py
 
 check-dse:            ## SIGINT a DSE study mid-search; resume must be byte-identical
 	$(PY) tools/dse_smoke.py

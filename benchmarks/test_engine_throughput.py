@@ -78,7 +78,7 @@ def _grid_throughput(tmp_root) -> float:
     return accesses / best
 
 
-# -- trace store: zero-copy mapped traces vs v7-style private copies -------
+# -- trace store: zero-copy mapped traces vs private in-RAM copies ---------
 
 #: Workload specs for the trace-store measurement: enough distinct
 #: traces at a length where a private in-RAM copy is clearly visible in
@@ -91,7 +91,7 @@ STORE_SPECS = (("pr.urand", "small", 200_000),
 STORE_JOBS = 4
 
 #: Per-worker private trace memory must shrink at least this much with
-#: mapped traces versus v7-style private in-RAM copies (ISSUE 5 gate).
+#: mapped traces versus private in-RAM copies (ISSUE 5 gate).
 MIN_RSS_REDUCTION_X = 2.0
 
 #: Anonymous-delta readings below this are allocator/interpreter noise;
@@ -143,13 +143,14 @@ def _worker_trace_memory(args) -> dict:
 
 def _trace_store_bench(monkeypatch, tmp_path) -> dict:
     """Cold/warm trace-path wall-clock, per-worker memory at
-    ``STORE_JOBS`` workers, and the mapped-vs-v7 bit-identical gate."""
+    ``STORE_JOBS`` workers, and the mapped-vs-private bit-identical
+    gate."""
     import numpy as np
 
     from repro.experiments import workloads
     from repro.experiments.runner import run_variant
     from repro.experiments.workloads import workload_trace
-    from repro.trace.record import Trace
+    from repro.trace import store
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store-bench"))
 
@@ -161,25 +162,14 @@ def _trace_store_bench(monkeypatch, tmp_path) -> dict:
     trace_bytes = [int(t.accesses.nbytes) for t in traces]
 
     # Warm: re-open all entries memory-mapped (checksummed open, zero
-    # copies) versus the v7-era path (decompress + private copy of a
-    # compressed .npz of the same trace).
+    # copies).
     t0 = time.perf_counter()
     for n, t, ln in STORE_SPECS:
         workload_trace(n, tier=t, length=ln)
     warm_mapped_s = time.perf_counter() - t0
 
-    npz_paths = []
-    for trace, (n, t, ln) in zip(traces, STORE_SPECS):
-        p = tmp_path / f"{n}.{t}.{ln}.v7.npz"
-        with open(p, "wb") as fh:
-            trace.save(fh)
-        npz_paths.append(p)
-    t0 = time.perf_counter()
-    v7_traces = [Trace.load(p) for p in npz_paths]
-    warm_npz_s = time.perf_counter() - t0
-
     # Per-worker trace memory at jobs >= 4: each worker loads the full
-    # spec set, mapped versus v7-style private copies.  The pool uses
+    # spec set, mapped versus private in-RAM copies.  The pool uses
     # the *spawn* start method: a forked child inherits the parent's
     # allocator arenas (with enough free space to absorb every trace
     # without mapping a single new page), which hides exactly the
@@ -203,37 +193,36 @@ def _trace_store_bench(monkeypatch, tmp_path) -> dict:
     best_private = min(per_worker["private_v7_style"]["anon_delta_kb"])
     reduction = best_private / max(worst_mapped, NOISE_FLOOR_KB)
 
-    # Bit-identical gate: the mapped v8 trace must simulate exactly
-    # like its v7 (.npz round-tripped, private in-RAM) twin.
+    # Bit-identical gate: the mapped trace must simulate exactly like
+    # a private in-RAM copy of the same store file.
     cfg = scaled_config(16)
-    mapped_trace = workload_trace(*STORE_SPECS[0][:1],
-                                  tier=STORE_SPECS[0][1],
-                                  length=STORE_SPECS[0][2])
+    name, tier, length = STORE_SPECS[0]
+    mapped_trace = workload_trace(name, tier=tier, length=length)
+    private_trace = store.open_trace(
+        workloads._trace_path(workloads.Workload(*name.split(".")),
+                              tier, length), mapped=False)
     assert isinstance(mapped_trace.accesses, np.memmap)
+    assert not isinstance(private_trace.accesses, np.memmap)
     identical = (
         run_variant(mapped_trace, "sdc_lp", cfg).to_payload()
-        == run_variant(v7_traces[0], "sdc_lp", cfg).to_payload())
+        == run_variant(private_trace, "sdc_lp", cfg).to_payload())
 
-    assert identical, "mapped v8 trace diverged from the v7 .npz twin"
+    assert identical, "mapped trace diverged from its private copy"
     assert reduction >= MIN_RSS_REDUCTION_X, (
         f"per-worker trace memory shrank only {reduction:.2f}x "
         f"(mapped worst {worst_mapped} KiB vs private best "
         f"{best_private} KiB); the mmap store must save >= "
         f"{MIN_RSS_REDUCTION_X}x at jobs >= {STORE_JOBS}")
-    assert warm_mapped_s < warm_npz_s, (
-        f"warm mapped open ({warm_mapped_s:.3f}s) should beat the v7 "
-        f"decompress+copy path ({warm_npz_s:.3f}s)")
 
     return {
         "specs": [f"{n}.{t}.{ln}" for n, t, ln in STORE_SPECS],
         "record_bytes_per_trace": trace_bytes,
         "cold_populate_seconds": round(cold_s, 3),
         "warm_mapped_open_seconds": round(warm_mapped_s, 4),
-        "warm_v7_npz_load_seconds": round(warm_npz_s, 4),
         "jobs": STORE_JOBS,
         "per_worker": per_worker,
         "per_worker_trace_memory_reduction_x": round(reduction, 1),
-        "bit_identical_to_v7": identical,
+        "private_copy_identical": identical,
     }
 
 
@@ -279,99 +268,6 @@ def _batch_ab(trace, cfg) -> dict:
             "speedup_x": round(best["ref"] / best["batch"], 1),
         }
     return out
-
-
-# -- service path: HTTP API + lease queue vs direct run_grid ---------------
-
-#: Grid for the service A/B: 3 workloads x (baseline, sdc_lp), big
-#: enough that per-cell simulation dominates the fixed per-sweep cost
-#: (HTTP round-trips, lease bookkeeping, journal appends, poll ticks).
-SERVICE_WORKLOADS = ("pr.urand", "cc.urand", "bfs.urand")
-SERVICE_VARIANTS = ("baseline", "sdc_lp")
-SERVICE_LENGTH = 50_000
-SERVICE_JOBS = 2
-SERVICE_REPEATS = 2
-
-#: ISSUE 8 acceptance gate: a sweep submitted over the service API may
-#: cost at most this much wall-clock over the same grid run directly
-#: through ``run_grid`` at the same worker count.
-MAX_SERVICE_OVERHEAD_PCT = 10.0
-
-
-def _service_bench(tmp_path, monkeypatch) -> dict:
-    """Interleaved A/B: the same fresh-cache sweep through
-    ``run_grid(jobs=2)`` versus submitted over the service HTTP API
-    (orchestrator + lease queue + 2 leased workers).
-
-    Every repeat of either arm gets its own ``REPRO_CACHE_DIR``, so
-    both pay trace generation, cache writes and manifest I/O — the
-    measured difference is exactly the service machinery.
-    """
-    import threading
-
-    from repro import faults
-    from repro.experiments.parallel import Job, run_grid
-    from repro.experiments.runner import default_config
-    from repro.service import (JobRequest, Orchestrator, ServiceClient,
-                               ServiceConfig)
-    from repro.service.api import serve_in_thread
-
-    assert faults.active_plan() is None, \
-        "service overhead must be measured fault-free"
-    cfg = default_config()
-    grid = [Job(wl, v, cfg, tier="tiny", length=SERVICE_LENGTH)
-            for wl in SERVICE_WORKLOADS for v in SERVICE_VARIANTS]
-    request = JobRequest(workloads=list(SERVICE_WORKLOADS),
-                         variants=tuple(v for v in SERVICE_VARIANTS
-                                        if v != "baseline"),
-                         tier="tiny", length=SERVICE_LENGTH)
-
-    def direct_seconds(root) -> float:
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
-        t0 = time.perf_counter()
-        results = run_grid(grid, jobs=SERVICE_JOBS, run_id="direct",
-                           manifest_dir=root / "runs")
-        dt = time.perf_counter() - t0
-        assert len(results) == len(grid)
-        return dt
-
-    def service_seconds(root) -> float:
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
-        orc = Orchestrator(ServiceConfig(workers=SERVICE_JOBS))
-        server, _ = serve_in_thread(orc)
-        loop = threading.Thread(target=orc.run, kwargs={"poll": 0.05},
-                                daemon=True)
-        t0 = time.perf_counter()
-        loop.start()
-        client = ServiceClient(
-            f"http://127.0.0.1:{server.server_address[1]}")
-        resp = client.submit(request)
-        status = client.wait(resp.job_id, timeout=600.0, poll=0.1)
-        dt = time.perf_counter() - t0
-        orc.request_drain()
-        loop.join(60.0)
-        assert status.state == "complete", status.error
-        assert status.progress.done == len(grid)
-        return dt
-
-    best = {"direct": float("inf"), "service": float("inf")}
-    for i in range(SERVICE_REPEATS):
-        best["direct"] = min(best["direct"],
-                             direct_seconds(tmp_path / f"svc-d{i}"))
-        best["service"] = min(best["service"],
-                              service_seconds(tmp_path / f"svc-s{i}"))
-    overhead = 100.0 * (best["service"] / best["direct"] - 1.0)
-    return {
-        "grid_cells": len(grid),
-        "length": SERVICE_LENGTH,
-        "jobs": SERVICE_JOBS,
-        "repeats": SERVICE_REPEATS,
-        "direct_seconds": round(best["direct"], 3),
-        "service_seconds": round(best["service"], 3),
-        "direct_cells_per_sec": round(len(grid) / best["direct"], 2),
-        "service_cells_per_sec": round(len(grid) / best["service"], 2),
-        "overhead_pct": round(overhead, 1),
-    }
 
 
 #: Window for the telemetry-on measurement (the engine default).
@@ -508,30 +404,16 @@ def test_engine_throughput(show, tmp_path, monkeypatch):
             "slow or (more likely) silently falling back to reference")
     else:
         lines.append(f"  {'batch':10} unavailable: {ab['note']}")
-    # Service A/B: the same sweep over the HTTP API (orchestrator +
-    # lease queue) versus direct run_grid at the same worker count
-    # (ISSUE 8 acceptance: the service must cost < 10% wall-clock).
-    svc = _service_bench(tmp_path, monkeypatch)
-    result["service"] = svc
-    lines.append(
-        f"  {'service':10} {svc['service_cells_per_sec']:>12,.2f}  "
-        f"cells/sec over the API ({svc['overhead_pct']:+.1f}% vs "
-        f"run_grid jobs={svc['jobs']})")
-    assert svc["overhead_pct"] < MAX_SERVICE_OVERHEAD_PCT, (
-        f"service API overhead {svc['overhead_pct']}% at "
-        f"jobs={SERVICE_JOBS} exceeds the {MAX_SERVICE_OVERHEAD_PCT}% "
-        "gate — the orchestrator is adding per-cell latency (check "
-        "poll intervals and lease bookkeeping)")
-    # Trace-store cost model: cold populate, warm mapped open vs the
-    # v7 decompress+copy path, per-worker trace memory at 4 jobs, and
-    # the mapped-vs-v7 bit-identical gate (ISSUE 5 acceptance).
+    # Trace-store cost model: cold populate, warm mapped open,
+    # per-worker trace memory at 4 jobs, and the mapped-vs-private
+    # bit-identical gate (ISSUE 5 acceptance).
     ts = _trace_store_bench(monkeypatch, tmp_path)
     result["trace_store"] = ts
     lines.append(
         f"  {'trace store':10} warm open {ts['warm_mapped_open_seconds']}s"
-        f" (v7 npz {ts['warm_v7_npz_load_seconds']}s), per-worker "
-        f"trace memory {ts['per_worker_trace_memory_reduction_x']}x "
-        f"smaller at {ts['jobs']} jobs, bit-identical to v7")
+        f", per-worker trace memory "
+        f"{ts['per_worker_trace_memory_reduction_x']}x smaller at "
+        f"{ts['jobs']} jobs, bit-identical to a private copy")
     # DSE search efficiency: successive halving must simulate well
     # under half the cells a full enumeration of the declared space
     # would need, while still producing a frontier (ISSUE 9 gate).

@@ -207,78 +207,6 @@ def main(argv=None) -> int:
                      help="give up --watch after SEC seconds "
                           "(default: wait forever)")
 
-    psv = sub.add_parser(
-        "serve",
-        help="run the simulation service: a crash-tolerant orchestrator "
-             "+ worker pool accepting sweep jobs over a typed HTTP/JSON "
-             "API (docs/SERVICE.md)")
-    psv.add_argument("--host", default="127.0.0.1")
-    psv.add_argument("--port", type=int, default=8421,
-                     help="TCP port (0 = ephemeral; default 8421)")
-    psv.add_argument("--workers", type=int, default=2,
-                     help="worker processes executing cells")
-    psv.add_argument("--queue-depth", type=int, default=16,
-                     help="max active jobs before submissions get 429 "
-                          "backpressure")
-    psv.add_argument("--lease-ttl", type=float, default=15.0,
-                     metavar="SEC",
-                     help="cell lease TTL; a worker that stops "
-                          "heartbeating for this long forfeits its "
-                          "cell (default 15s)")
-    psv.add_argument("--timeout", type=float, default=None,
-                     metavar="SEC",
-                     help="per-cell wall deadline; hung workers are "
-                          "killed and the cell retried")
-    psv.add_argument("--retries", type=int, default=2,
-                     help="retry attempts per failed/forfeited cell")
-    psv.add_argument("--telemetry", nargs="?", const="", default=None,
-                     metavar="DIR",
-                     help="append service lifecycle events to "
-                          "DIR/events-service.jsonl")
-    psv.add_argument("--verbose", action="store_true",
-                     help="log every HTTP request to stderr")
-
-    psub = sub.add_parser(
-        "submit",
-        help="submit a sweep (or shard-merge) job to a running "
-             "'repro serve' and optionally stream its results")
-    psub.add_argument("--url", default=None,
-                      help="service endpoint (default "
-                           "$REPRO_SERVICE_URL or "
-                           "http://127.0.0.1:8421)")
-    psub.add_argument("--quick", action="store_true",
-                      help="the 6-workload quick subset (default)")
-    psub.add_argument("--all", action="store_true",
-                      help="all 36 workloads")
-    psub.add_argument("--workloads", nargs="+", default=None,
-                      metavar="KERNEL.GRAPH",
-                      help="explicit workload list")
-    psub.add_argument("--variants", nargs="+", default=None,
-                      help="design variants (default: the fig7 set)")
-    psub.add_argument("--tier", default="tiny")
-    psub.add_argument("--length", type=int, default=20_000)
-    psub.add_argument("--backend", choices=("ref", "batch"),
-                      default=None)
-    psub.add_argument("--merge", metavar="RUN_ID", default=None,
-                      help="submit a merge job instead: wait for every "
-                           "shard of RUN_ID then stitch")
-    psub.add_argument("--watch-timeout", type=float, default=None,
-                      metavar="SEC",
-                      help="merge jobs: give up waiting after SEC")
-    psub.add_argument("--follow", action="store_true",
-                      help="stream the JSONL result feed until the "
-                           "job is terminal")
-
-    pst = sub.add_parser(
-        "status",
-        help="show one service job (or all jobs) as typed JSON")
-    pst.add_argument("job_id", nargs="?", default=None)
-    pst.add_argument("--url", default=None)
-
-    pca = sub.add_parser("cancel", help="cancel a service job")
-    pca.add_argument("job_id")
-    pca.add_argument("--url", default=None)
-
     p14 = sub.add_parser("fig14")
     _common(p14)
     p14.add_argument("--mixes", type=int, default=10)
@@ -375,14 +303,6 @@ def main(argv=None) -> int:
         return _trace_export(args)
     if cmd == "merge":
         return _merge(args)
-    if cmd == "serve":
-        return _serve(args)
-    if cmd == "submit":
-        return _submit(args)
-    if cmd == "status":
-        return _status(args)
-    if cmd == "cancel":
-        return _cancel(args)
 
     kw = dict(tier=args.tier, length=args.length)
     # Grid-shaped commands run on the parallel engine; the rest are
@@ -682,152 +602,6 @@ def _merge(args) -> int:
               f"events into {tdir}/events-{report.run_id}.jsonl")
     print("A figure rerun against this cache now reproduces the "
           "single-host output from validated shard results.")
-    return 0
-
-
-def _service_url(args) -> str:
-    import os
-    return (args.url or os.environ.get("REPRO_SERVICE_URL")
-            or "http://127.0.0.1:8421")
-
-
-def _serve(args) -> int:
-    """`repro serve`: run the orchestrator until SIGTERM/SIGINT
-    (graceful drain) or a fatal fault (docs/SERVICE.md)."""
-    import signal
-
-    from repro import faults
-    from repro.experiments.parallel import RunPolicy
-    from repro.service import Orchestrator, ServiceConfig
-    from repro.service.api import serve_in_thread
-
-    tdir = None
-    if args.telemetry is not None:
-        from repro import telemetry as tele
-        tdir = Path(args.telemetry) if args.telemetry \
-            else tele.default_telemetry_dir()
-    orc = Orchestrator(ServiceConfig(
-        host=args.host, port=args.port, workers=args.workers,
-        queue_depth=args.queue_depth, lease_ttl=args.lease_ttl,
-        policy=RunPolicy(timeout=args.timeout, retries=args.retries),
-        telemetry_dir=tdir,
-        hard_crash=True))       # injected crashes really kill us
-    server, _ = serve_in_thread(orc, verbose=args.verbose)
-    host, port = server.server_address[:2]
-
-    def on_signal(signum, frame):
-        print(f"\nsignal {signal.Signals(signum).name}: draining "
-              "(in-flight cells finish, nothing new is leased)...",
-              file=sys.stderr)
-        orc.request_drain()
-    signal.signal(signal.SIGTERM, on_signal)
-    signal.signal(signal.SIGINT, on_signal)
-
-    print(f"repro service generation {orc.generation} listening on "
-          f"http://{host}:{port} ({args.workers} worker(s), "
-          f"lease TTL {args.lease_ttl:g}s, queue depth "
-          f"{args.queue_depth})")
-    resumed = [j for j in orc.jobs.values()
-               if j.state in ("queued", "running")]
-    if resumed:
-        print(f"recovered {len(resumed)} in-flight job(s) from the "
-              "journal; resuming with zero redundant simulation")
-    try:
-        orc.run()
-    except faults.FaultInjected as fi:
-        print(f"\n{fi}", file=sys.stderr)
-        print("journal and manifests are checkpointed; restart "
-              "'repro serve' to resume every in-flight job.",
-              file=sys.stderr)
-        return 1
-    print("drained cleanly.")
-    return 0
-
-
-def _submit(args) -> int:
-    """`repro submit`: POST a job to a running service."""
-    import json as _json
-
-    from repro.service import JobRequest, ServiceClient, ServiceError
-
-    if args.merge is not None:
-        req = JobRequest(kind="merge", run_id=args.merge,
-                         watch_timeout=args.watch_timeout)
-    else:
-        if args.workloads:
-            wls: object = list(args.workloads)
-        elif args.all:
-            wls = None
-        else:
-            wls = "quick"
-        req = JobRequest(workloads=wls,
-                         variants=tuple(args.variants or ()),
-                         tier=args.tier, length=args.length,
-                         backend=args.backend)
-    client = ServiceClient(_service_url(args))
-    try:
-        resp = client.submit(req, max_retries=3)
-    except ServiceError as exc:
-        print(exc, file=sys.stderr)
-        for d in exc.detail:
-            print(f"  - {d}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"cannot reach {client.base_url}: {exc} "
-              "(is 'repro serve' running?)", file=sys.stderr)
-        return 1
-    print(f"job {resp.job_id}: {resp.state}, {resp.cells} unique "
-          f"cell(s)")
-    if not args.follow:
-        print(f"follow with: repro status {resp.job_id}")
-        return 0
-    for row in client.results(resp.job_id, follow=True,
-                              timeout=3600.0):
-        print(_json.dumps(row, sort_keys=True))
-    status = client.status(resp.job_id)
-    print(f"job {resp.job_id}: {status.state}")
-    return 0 if status.state == "complete" else 1
-
-
-def _status(args) -> int:
-    """`repro status [job_id]`: typed job state as JSON."""
-    import json as _json
-
-    from repro.service import ServiceClient, ServiceError
-    client = ServiceClient(_service_url(args))
-    try:
-        if args.job_id is None:
-            jobs = client.list_jobs()
-            for job in jobs:
-                p = job.progress
-                print(f"{job.job_id}  {job.state:9} "
-                      f"{p.done}/{p.total} done "
-                      f"({p.failed} failed, {p.running} running)")
-            if not jobs:
-                print("no jobs")
-            return 0
-        status = client.status(args.job_id)
-    except ServiceError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"cannot reach {client.base_url}: {exc}",
-              file=sys.stderr)
-        return 1
-    print(_json.dumps(status.to_dict(), indent=2, sort_keys=True))
-    return 0
-
-
-def _cancel(args) -> int:
-    """`repro cancel <job_id>`."""
-    from repro.service import ServiceClient, ServiceError
-    client = ServiceClient(_service_url(args))
-    try:
-        status = client.cancel(args.job_id)
-    except (ServiceError, OSError) as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    print(f"job {status.job_id}: {status.state}")
     return 0
 
 

@@ -10,7 +10,7 @@ every cell that already ran.
 
 The ``.dse`` stem suffix keeps these out of
 :meth:`repro.experiments.manifest.RunManifest.latest` (mirroring the
-shard/service manifest rules), so ``repro trace-export latest`` keeps
+shard manifest rule), so ``repro trace-export latest`` keeps
 resolving ordinary sweeps.
 """
 

@@ -70,19 +70,15 @@ class RunManifest:
 
     @classmethod
     def _path_for(cls, run_id: str, directory: Path | None,
-                  shard: tuple[int, int] | None = None,
-                  service: bool = False) -> Path:
+                  shard: tuple[int, int] | None = None) -> Path:
         name = run_id if shard is None \
             else f"{run_id}.shard-{shard[0]}-of-{shard[1]}"
-        if service:
-            name += ".service"
         return (directory or runs_dir()) / f"{name}.json"
 
     @classmethod
     def load(cls, run_id: str, directory: Path | None = None,
-             shard: tuple[int, int] | None = None,
-             service: bool = False) -> "RunManifest":
-        path = cls._path_for(run_id, directory, shard, service)
+             shard: tuple[int, int] | None = None) -> "RunManifest":
+        path = cls._path_for(run_id, directory, shard)
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         if data.get("version") != MANIFEST_VERSION:
@@ -93,57 +89,43 @@ class RunManifest:
     @classmethod
     def open(cls, run_id: str | None = None,
              directory: Path | None = None,
-             shard: tuple[int, int] | None = None,
-             service: bool = False) -> "RunManifest":
+             shard: tuple[int, int] | None = None) -> "RunManifest":
         """Resume the manifest for ``run_id`` if one exists on disk,
         else start a fresh one (generating an id when none is given).
         ``shard=(I, N)`` names the per-shard manifest
-        ``<run_id>.shard-I-of-N.json`` of a sharded sweep;
-        ``service=True`` names a service-owned job manifest
-        ``<run_id>.service.json`` (:mod:`repro.service` — skipped by
-        :meth:`latest` alongside shard manifests, so ``repro
-        trace-export latest`` never resolves to a half-built service
-        job)."""
+        ``<run_id>.shard-I-of-N.json`` of a sharded sweep."""
         if run_id is not None:
             try:
-                m = cls.load(run_id, directory, shard, service)
+                m = cls.load(run_id, directory, shard)
             except FileNotFoundError:
-                m = cls(run_id,
-                        cls._path_for(run_id, directory, shard, service))
+                m = cls(run_id, cls._path_for(run_id, directory, shard))
             else:
                 m.data["resumes"] = m.data.get("resumes", 0) + 1
                 m.data["status"] = "running"
         else:
             run_id = new_run_id()
             cls._prune(directory)
-            m = cls(run_id,
-                    cls._path_for(run_id, directory, shard, service))
+            m = cls(run_id, cls._path_for(run_id, directory, shard))
         if shard is not None:
             m.data["shard"] = {"index": shard[0], "count": shard[1]}
-        if service:
-            m.data["service"] = True
         return m
 
     @classmethod
     def latest(cls, directory: Path | None = None) -> "RunManifest":
-        """Load the most recently modified (non-shard, non-service)
+        """Load the most recently modified (non-shard, non-DSE)
         manifest in ``directory`` (``repro trace-export latest``
         resolves run ids through this).  Raises ``FileNotFoundError``
         when no runs exist.  A manifest pruned by a concurrent
         supervisor between glob and stat is skipped, not an error.
-        Shard manifests (one host's slice of a sharded sweep),
-        service-owned job manifests (``<run_id>.service.json``, which
-        a live :mod:`repro.service` orchestrator may be mid-way
-        through) and DSE study manifests (``<study_id>.dse.json``,
-        :mod:`repro.dse` — a search ledger, not a sweep) are skipped —
-        none is a complete sweep ``latest`` should hand to an
-        exporter."""
+        Shard manifests (one host's slice of a sharded sweep) and DSE
+        study manifests (``<study_id>.dse.json``, :mod:`repro.dse` — a
+        search ledger, not a sweep) are skipped — neither is a complete
+        sweep ``latest`` should hand to an exporter."""
         d = directory or runs_dir()
         best: tuple[float, str] | None = None
         if d.is_dir():
             for p in d.glob("*.json"):
-                if (".shard-" in p.stem or p.stem.endswith(".service")
-                        or p.stem.endswith(".dse")):
+                if ".shard-" in p.stem or p.stem.endswith(".dse"):
                     continue
                 try:
                     mtime = p.stat().st_mtime

@@ -374,9 +374,8 @@ def wait_for_shards(run_id: str, directory: Path | None = None,
                     on_poll=None) -> str:
     """Block until every shard of ``run_id`` reports complete.
 
-    Polls :func:`shards_status` every ``poll`` seconds (the merge's
-    ``--watch`` mode, and the wait step of a :mod:`repro.service`
-    merge job).  ``on_poll(ready, summary)`` is invoked after each
+    Polls :func:`shards_status` every ``poll`` seconds (``repro merge
+    --watch``).  ``on_poll(ready, summary)`` is invoked after each
     probe for progress display.  Returns the final summary; raises
     :class:`TimeoutError` when ``timeout`` seconds elapse first —
     carrying the last summary, so the caller can print exactly which

@@ -9,11 +9,8 @@ working directory) in the v8 memory-mapped store format
 (:mod:`repro.trace.store`, docs/TRACES.md): the supervisor and every
 ``run_grid`` worker open the same file through ``np.memmap`` and share
 one page-cache copy instead of each deserializing a private clone.
-v7-era compressed ``.npz`` entries are migrated in place the first
-time they are requested (loaded once, rewritten as a v8 store file,
-counted in the store's ``migrations``/``stale`` counters); corrupt or
-truncated store files are quarantined to ``results/quarantine/`` and
-regenerated exactly once.
+Corrupt or truncated store files are quarantined to
+``results/quarantine/`` and regenerated exactly once.
 
 Each workload's trace is a *mid-stream window* of the full
 instrumented run — the SimPoint-flavoured choice that avoids measuring
@@ -46,7 +43,6 @@ GRAPHS = tuple(GRAPH_SUITE)
 DEFAULT_TIER = "medium"        # ~10^5 vertices; pairs with scaled_config(16)
 DEFAULT_TRACE_LEN = 400_000
 TRACE_FORMAT_VERSION = 8       # bump to invalidate cached traces
-LEGACY_TRACE_FORMAT_VERSION = 7  # newest .npz-era version we migrate
 
 # The generator over-produces this many windows' worth of accesses; the
 # measurement window is the *tail* of what was generated, which lands
@@ -178,31 +174,6 @@ def _quarantine_trace(path: Path) -> None:
     store.quarantine_file(path, trace_quarantine_dir())
 
 
-def _migrate_legacy(wl: Workload, tier: str, length: int,
-                    path: Path) -> bool:
-    """Convert a v7 ``.npz`` entry to a v8 store file, once.
-
-    Returns True when a migration happened.  The record bytes are
-    identical after migration (the npz holds the same ``ACCESS_DTYPE``
-    array), so migrated and freshly generated traces simulate
-    bit-identically.  An unreadable legacy file is quarantined and the
-    trace regenerated instead.
-    """
-    legacy = _legacy_trace_path(wl, tier, length)
-    if not legacy.exists():
-        return False
-    try:
-        trace = Trace.load(legacy)
-    except Exception:
-        _quarantine_trace(legacy)
-        return False
-    _store_trace(trace, path)
-    legacy.unlink(missing_ok=True)
-    store.COUNTERS["migrations"].inc()
-    store.COUNTERS["stale"].inc()
-    return True
-
-
 def workload_trace(wl: Workload | str, tier: str = DEFAULT_TIER,
                    length: int = DEFAULT_TRACE_LEN,
                    use_cache: bool = True, mapped: bool = True) -> Trace:
@@ -214,8 +185,7 @@ def workload_trace(wl: Workload | str, tier: str = DEFAULT_TIER,
     a cache the freshly generated in-memory trace is returned as-is).
     A store file that fails validation — bad magic, checksum mismatch,
     truncation — is quarantined to ``results/quarantine/`` and the
-    trace regenerated exactly once; a v7-era ``.npz`` entry for the
-    same spec is transparently migrated to the store format first.
+    trace regenerated exactly once.
     """
     if isinstance(wl, str):
         kernel, graph = wl.split(".", 1)
@@ -223,8 +193,6 @@ def workload_trace(wl: Workload | str, tier: str = DEFAULT_TIER,
     if not use_cache:
         return _generate(wl, tier, length)
     path = _trace_path(wl, tier, length)
-    if not path.exists():
-        _migrate_legacy(wl, tier, length, path)
     # Two rounds: a file that fails validation is quarantined and
     # regenerated once; a second consecutive failure (e.g. a fault plan
     # damaging every write) falls back to the in-memory trace rather

@@ -45,24 +45,6 @@ Fault kinds
     (``(I+1) mod N``), simulating a mispartitioned host; the merge's
     overlap detection must refuse to stitch, and a re-run of the
     offending shard repairs its manifest.
-``worker_vanish``
-    A :mod:`repro.service` worker process dies silently
-    (``os._exit``) just before executing a leased cell — no error
-    message, no result, no broken-pool signal.  The orchestrator must
-    notice the lost worker, expire its lease, and requeue the cell
-    with its attempt count preserved.
-``lease_loss``
-    The orchestrator revokes a freshly granted cell lease (simulating
-    a lease store that lost state): the worker keeps running, but its
-    result arrives carrying a stale lease token and is discarded; the
-    cell is requeued exactly once with its attempt spent.
-``orchestrator_crash``
-    The orchestrator process dies (``os._exit`` in a real ``repro
-    serve`` process, :class:`FaultInjected` in-process) right after
-    journaling a completed cell.  ``attempt`` is the service
-    *generation* (startup count from the queue journal), so with the
-    default ``max_attempt=1`` the first orchestrator dies and its
-    restart deterministically survives and resumes every job.
 
 Plan specs
 ----------
@@ -104,8 +86,7 @@ DEFAULT_HANG_SECONDS = 600.0
 DEFAULT_SLOW_SECONDS = 0.05
 
 KINDS = ("crash", "hang", "slow", "exc", "corrupt", "truncate",
-         "shard_loss", "duplicate_shard",
-         "worker_vanish", "lease_loss", "orchestrator_crash")
+         "shard_loss", "duplicate_shard")
 
 #: Fault kinds applied at cell-execution time (by the engine) versus at
 #: artifact-write time — results-cache entries
@@ -116,10 +97,6 @@ KINDS = ("crash", "hang", "slow", "exc", "corrupt", "truncate",
 EXECUTION_KINDS = ("crash", "hang", "slow", "exc")
 CACHE_KINDS = ("corrupt", "truncate")
 SHARD_KINDS = ("shard_loss", "duplicate_shard")
-#: Fault kinds applied by the :mod:`repro.service` orchestrator and its
-#: worker processes (lease revocation, silent worker death, and
-#: orchestrator crash-recovery — see docs/SERVICE.md).
-SERVICE_KINDS = ("worker_vanish", "lease_loss", "orchestrator_crash")
 
 
 class FaultInjected(RuntimeError):
@@ -240,10 +217,6 @@ def worker_init(plan: FaultPlan | None) -> None:
     activate(plan)
 
 
-def in_worker_process() -> bool:
-    return _in_worker
-
-
 # -- injection points -------------------------------------------------------
 
 def inject_execution(site: str, attempt: int = 1) -> None:
@@ -288,54 +261,6 @@ def inject_shard_loss(site: str, attempt: int = 1) -> None:
     if plan is not None and plan.fires("shard_loss", site, attempt):
         raise FaultInjected(f"injected shard loss at {site} "
                             f"(attempt {attempt})")
-
-
-def worker_vanishes(site: str, attempt: int = 1) -> bool:
-    """Whether a ``worker_vanish`` fault kills this service worker just
-    before it executes a leased cell.
-
-    ``site`` is the cell's content-addressed cache key and ``attempt``
-    the lease attempt, so the same plan vanishes the same worker at the
-    same cell on every run; with the default ``max_attempt=1`` the
-    requeued attempt deterministically survives.  The caller performs
-    the actual ``os._exit`` (the decision is separated from the death
-    so in-process tests can observe it).  False without an active plan.
-    """
-    plan = active_plan()
-    return plan is not None and plan.fires("worker_vanish", site, attempt)
-
-
-def lease_lost(site: str, attempt: int = 1) -> bool:
-    """Whether a ``lease_loss`` fault revokes this freshly granted
-    lease (same decision scheme as :func:`worker_vanishes`: ``site`` is
-    the cell key, ``attempt`` the lease attempt).  The orchestrator
-    requeues the cell and discards the revoked worker's stale-token
-    result.  False without an active plan."""
-    plan = active_plan()
-    return plan is not None and plan.fires("lease_loss", site, attempt)
-
-
-def inject_orchestrator_crash(site: str, generation: int = 1,
-                              hard: bool = False) -> None:
-    """Kill the service orchestrator right after a journaled checkpoint.
-
-    ``site`` is ``orc:<job_id>`` and ``generation`` the service's
-    startup count (replayed from the queue journal), so with the
-    default ``max_attempt=1`` the first orchestrator generation dies
-    and the restarted one deterministically survives.  ``hard=True``
-    (a real ``repro serve`` process) exits with
-    :data:`CRASH_EXIT_CODE`; in-process orchestrators raise
-    :class:`FaultInjected` instead so tests keep their interpreter.
-    No-op without an active plan.
-    """
-    plan = active_plan()
-    if plan is None or not plan.fires("orchestrator_crash", site,
-                                      generation):
-        return
-    if hard:
-        os._exit(CRASH_EXIT_CODE)
-    raise FaultInjected(f"injected orchestrator crash at {site} "
-                        f"(generation {generation})")
 
 
 def shard_duplicates(site: str, attempt: int = 1) -> bool:

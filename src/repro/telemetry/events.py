@@ -37,11 +37,6 @@ EVENT_NAMES = (
     "cell_quarantined",
     "cell_exec_started", "cell_exec_finished",
     "pool_rebuilt", "degraded_serial",
-    # -- repro.service lifecycle (docs/SERVICE.md) --
-    "service_started", "service_stopped", "service_drain",
-    "job_submitted", "job_started", "job_finished", "job_cancelled",
-    "cell_leased", "lease_renewed", "lease_expired",
-    "worker_spawned", "worker_lost",
 )
 
 

@@ -49,19 +49,6 @@ EVENT_REQUIRED_FIELDS = {
                            "fallback"),
     "pool_rebuilt": ("rebuilds",),
     "degraded_serial": ("rebuilds",),
-    # -- repro.service lifecycle (docs/SERVICE.md) --
-    "service_started": ("generation", "workers"),
-    "service_stopped": ("status",),
-    "service_drain": (),
-    "job_submitted": ("job_id", "cells"),
-    "job_started": ("job_id",),
-    "job_finished": ("job_id", "status"),
-    "job_cancelled": ("job_id",),
-    "cell_leased": ("key", "worker", "attempt"),
-    "lease_renewed": ("key", "worker"),
-    "lease_expired": ("key", "worker", "attempt", "reason"),
-    "worker_spawned": ("worker",),
-    "worker_lost": ("worker", "reason"),
 }
 
 _ENVELOPE_FIELDS = (("ts", numbers.Real), ("run_id", str),

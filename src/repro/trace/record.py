@@ -30,9 +30,7 @@ cumulative edge count, so all PCs, addresses and dependency links can
 be scattered with NumPy fancy indexing (DESIGN.md substitution #1
 keeps trace generation tractable).
 
-**Serialization.** :meth:`Trace.save`/:meth:`Trace.load` round-trip
-the legacy compressed ``.npz`` form (format v7) and remain only as the
-migration source.  Cached workload traces live in the versioned,
+**Serialization.** Cached workload traces live in the versioned,
 checksummed, memory-mappable v8 store (:mod:`repro.trace.store`,
 docs/TRACES.md), whose record block is this dtype byte-for-byte.
 """
@@ -124,43 +122,6 @@ class Trace:
         if (dep < -1).any():
             raise ValueError("dep < -1 encountered")
 
-    # -- serialization (legacy v7 .npz — see repro.trace.store for the
-    # v8 mmap format that cached workload traces actually use) ------------
-    def save(self, path) -> None:
-        """Write the legacy compressed ``.npz`` form (format v7)."""
-        regions = self.address_space.regions
-        names = list(regions)
-        np.savez_compressed(
-            path,
-            accesses=self.accesses,
-            region_names=np.array(names),
-            region_base=np.array([regions[n].base for n in names],
-                                 dtype=np.int64),
-            region_elem=np.array([regions[n].elem_size for n in names],
-                                 dtype=np.int64),
-            region_count=np.array([regions[n].num_elems for n in names],
-                                  dtype=np.int64),
-            region_irr=np.array([regions[n].irregular_hint for n in names]),
-            meta=np.array([self.name, self.kernel, self.graph]),
-        )
-
-    @classmethod
-    def load(cls, path) -> "Trace":
-        """Read a legacy v7 ``.npz`` trace (the store's migration source)."""
-        with np.load(path, allow_pickle=False) as z:
-            space = AddressSpace()
-            # Re-register regions preserving their original bases.
-            for name, base, elem, count, irr in zip(
-                    z["region_names"], z["region_base"], z["region_elem"],
-                    z["region_count"], z["region_irr"]):
-                from repro.trace.layout import Region
-                region = Region(str(name), int(base), int(elem), int(count),
-                                bool(irr))
-                space.regions[str(name)] = region
-                space._starts.append(region.base)
-                space._names.append(str(name))
-            meta = [str(x) for x in z["meta"]]
-            return cls(z["accesses"].copy(), space, *meta)
 
 
 class TraceBuilder:

@@ -42,8 +42,8 @@ concurrent ``run_grid`` workers racing to generate the same trace can
 never expose a torn file — the last writer wins with identical bytes.
 
 Store activity is counted in module-level telemetry counters
-(:data:`COUNTERS`: ``opens``/``maps``/``writes``/``migrations``/
-``stale``/``corrupt``/``regenerated``) — snapshot them with
+(:data:`COUNTERS`: ``opens``/``maps``/``writes``/``corrupt``/
+``regenerated``) — snapshot them with
 :func:`counters_snapshot`.
 """
 
@@ -89,8 +89,7 @@ class TraceStoreError(ValueError):
 
 COUNTERS: dict[str, Counter] = {
     name: Counter(f"trace_store_{name}")
-    for name in ("opens", "maps", "writes", "migrations", "stale",
-                 "corrupt", "regenerated")
+    for name in ("opens", "maps", "writes", "corrupt", "regenerated")
 }
 
 

@@ -8,13 +8,24 @@ like the experiment defaults.
 
 from __future__ import annotations
 
+import atexit
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
-# Keep disk trace caching inside the repo workspace, versioned per run.
-os.environ.setdefault("REPRO_CACHE_DIR", ".repro_cache")
+# Hermetic by default: each session gets a fresh trace/results cache
+# and hypothesis directory, so no outcome depends on what an earlier
+# run left behind and nothing is written under the working directory.
+# An explicitly set REPRO_CACHE_DIR still wins (e.g. to share a warm
+# cache).
+_session_tmp = tempfile.mkdtemp(prefix="repro-tests-")
+atexit.register(shutil.rmtree, _session_tmp, ignore_errors=True)
+os.environ.setdefault("REPRO_CACHE_DIR", os.path.join(_session_tmp, "cache"))
+set_hypothesis_home_dir(os.path.join(_session_tmp, "hypothesis"))
 
 from repro.config import SystemConfig, paper_config, scaled_config
 from repro.graphs import (grid_road_graph, kronecker_graph,

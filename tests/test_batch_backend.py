@@ -54,8 +54,10 @@ def build_trace(ops, deps=False):
     return Trace(acc, space)
 
 
+#: 300 blocks per region: reuse-heavy, so the L1D, L2C and SDC serve
+#: a large share of accesses alongside DRAM.
 ops_strategy = st.lists(
-    st.tuples(st.integers(0, 2000), st.booleans(), st.booleans(),
+    st.tuples(st.integers(0, 300), st.booleans(), st.booleans(),
               st.integers(0, 12), st.integers(0, 5)),
     min_size=1, max_size=300)
 
@@ -79,7 +81,7 @@ def cfg():
 @pytest.fixture(scope="module")
 def trace():
     rng = np.random.default_rng(13)
-    ops = [(int(rng.integers(0, 2000)), bool(rng.random() < 0.5),
+    ops = [(int(rng.integers(0, 300)), bool(rng.random() < 0.5),
             bool(rng.random() < 0.25), int(rng.integers(0, 12)),
             int(rng.integers(0, 4)))
            for _ in range(3000)]

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro import faults
+from repro.cli import main
 from repro.core.batch import resolve_backend
 from repro.experiments import results_cache as rc
 from repro.experiments import sharding
@@ -244,6 +245,52 @@ class TestMergeValidation:
             merge_shards("v", runs, cache=cache)
         assert any("disagree on the grid" in p
                    for p in ei.value.problems)
+
+
+class TestMergeWatch:
+    """``repro merge --watch``: poll with ``wait_for_shards``, then
+    merge."""
+
+    def test_complete_set_returns_at_once_and_merges(self, grid, tmp_path,
+                                                     monkeypatch, capsys):
+        cache = rc.ResultsCache(tmp_path / "results")
+        runs = tmp_path / "runs"
+        run_shard(grid, 0, 1, "watched", cache, runs)
+        polls = []
+        # timeout=0: anything but a ready first probe raises.
+        summary = sharding.wait_for_shards(
+            "watched", runs, poll=60.0, timeout=0,
+            on_poll=lambda ready, s: polls.append(ready))
+        assert polls == [True]
+        assert summary == "all 1 shard(s) complete"
+        # The CLI resolves both the runs dir and the results cache
+        # from REPRO_CACHE_DIR.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(["merge", "watched", "--watch", "--interval", "60",
+                     "--watch-timeout", "0"]) == 0
+        assert "all shards complete" in capsys.readouterr().out
+        assert RunManifest.load("watched", runs).data["status"] \
+            == "complete"
+
+    def test_times_out_naming_what_is_missing(self, grid, tmp_path,
+                                              monkeypatch, capsys):
+        runs = tmp_path / "runs"
+        with pytest.raises(TimeoutError,
+                           match="never-ran.*no shard manifests yet"):
+            sharding.wait_for_shards("never-ran", runs, poll=0.01,
+                                     timeout=0.05)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(["merge", "never-ran", "--watch", "--interval",
+                     "0.01", "--watch-timeout", "0.05"]) != 0
+        err = capsys.readouterr().err
+        assert "never-ran" in err and "no shard manifests yet" in err
+        assert not (runs / "never-ran.json").exists()
+        # With one of two shards done, the message names the other.
+        run_shard(grid, 0, 2, "half", rc.ResultsCache(tmp_path / "results"),
+                  runs)
+        with pytest.raises(TimeoutError, match="missing: 1"):
+            sharding.wait_for_shards("half", runs, poll=0.01,
+                                     timeout=0.05)
 
 
 class TestShardFaults:

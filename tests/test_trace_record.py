@@ -93,20 +93,6 @@ class TestTrace:
         tb.emit(tb.pc("x"), np.array([0, 63, 64, 128], dtype=np.uint64))
         assert list(tb.build().block_addrs()) == [0, 0, 1, 2]
 
-    def test_save_load_roundtrip(self, space, tmp_path):
-        tb = TraceBuilder(space, name="t", kernel="pr", graph="kron")
-        tb.emit(tb.pc("x"), space["arr"].addr(np.arange(20)), gap=2,
-                dep_rel=-1)
-        trace = tb.build()
-        path = tmp_path / "trace.npz"
-        trace.save(path)
-        loaded = Trace.load(path)
-        assert np.array_equal(loaded.accesses, trace.accesses)
-        assert loaded.kernel == "pr"
-        assert loaded.graph == "kron"
-        assert list(loaded.address_space.regions) == ["arr"]
-        assert loaded.address_space["arr"].base == space["arr"].base
-
 
 class TestAssembler:
     def _fields(self, n, m, pc=1):

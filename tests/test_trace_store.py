@@ -163,39 +163,6 @@ class TestWorkloadCacheIntegration:
                         .glob("*.bad"))) == 1
         assert store.counters_snapshot()["corrupt"] >= 1
 
-    def test_v7_npz_migrates_to_store(self, cache, monkeypatch):
-        # Build the trace once, save it in the legacy v7 .npz format at
-        # the legacy path, and drop the v8 entry.
-        wl = workloads.Workload("pr", "urand")
-        t = workload_trace("pr.urand", **MICRO)
-        legacy = workloads._legacy_trace_path(wl, **MICRO)
-        with open(legacy, "wb") as fh:
-            t.save(fh)
-        v8 = workloads._trace_path(wl, **MICRO)
-        v8.unlink()
-        store.reset_counters()
-
-        # Migration must not regenerate.
-        monkeypatch.setattr(
-            workloads, "_generate",
-            lambda *a, **kw: pytest.fail("migration must not regenerate"))
-        u = workload_trace("pr.urand", **MICRO)
-        assert np.array_equal(u.accesses, t.accesses)
-        assert isinstance(u.accesses, np.memmap)
-        assert v8.exists() and not legacy.exists()
-        snap = store.counters_snapshot()
-        assert snap["migrations"] == 1 and snap["stale"] == 1
-
-    def test_unreadable_v7_is_quarantined(self, cache):
-        wl = workloads.Workload("cc", "urand")
-        legacy = workloads._legacy_trace_path(wl, **MICRO)
-        legacy.write_bytes(b"not an npz at all")
-        t = workload_trace("cc.urand", **MICRO)   # regenerates
-        assert len(t) > 0
-        assert not legacy.exists()
-        assert len(list(workloads.trace_quarantine_dir()
-                        .glob("*.bad"))) == 1
-
     def test_no_cache_returns_in_memory_trace(self, cache):
         t = workload_trace("pr.urand", use_cache=False, **MICRO)
         assert not isinstance(t.accesses, np.memmap)
